@@ -24,11 +24,12 @@ a quick CI run (fewer repetitions, same asserts).
 import json
 import os
 import time
+from dataclasses import dataclass
 
 from _harness import RESULTS_DIR, emit
 from repro.config import AgentConfig
 from repro.core.agent import Agent
-from repro.core.predictor import LinkEstimate, StaticNetworkInfo, predict
+from repro.core.predictor import LinkEstimate, StaticNetworkInfo
 from repro.problems.builtin import builtin_registry
 from repro.protocol.messages import QueryReply, QueryRequest
 
@@ -89,6 +90,46 @@ def make_agent(n_servers: int) -> Agent:
 # ----------------------------------------------------------------------
 # The seed's query path, kept as the measured baseline.
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _SeedPrediction:
+    send_seconds: float
+    compute_seconds: float
+    recv_seconds: float
+
+    @property
+    def total(self) -> float:
+        return self.send_seconds + self.compute_seconds + self.recv_seconds
+
+
+def _seed_predict(*, flops, input_bytes, output_bytes, link, peak_mflops,
+                  workload, use_workload):
+    """The seed's scalar prediction for one single-slot candidate."""
+    if flops < 0 or input_bytes < 0 or output_bytes < 0:
+        raise ValueError("flops and byte counts must be >= 0")
+    if not use_workload:
+        workload = 0.0
+    if peak_mflops <= 0 or workload < 0:
+        raise ValueError("bad peak or workload")
+    mflops = peak_mflops * 100.0 / (100.0 + workload)
+    return _SeedPrediction(
+        send_seconds=link.latency + input_bytes / link.bandwidth,
+        compute_seconds=flops / (mflops * 1e6),
+        recv_seconds=link.latency + output_bytes / link.bandwidth,
+    )
+
+
+def _seed_inflate_pending(base, entry, now):
+    """Each live pending hint adds one service time (FIFO queue wait)."""
+    pending = entry.live_pending(now)
+    if pending == 0:
+        return base
+    return _SeedPrediction(
+        send_seconds=base.send_seconds,
+        compute_seconds=base.compute_seconds * (1 + pending),
+        recv_seconds=base.recv_seconds,
+    )
+
+
 def legacy_handle_query(agent: Agent, src: str, msg: QueryRequest):
     spec = agent.specs[msg.problem]
     # seed candidates_for: sort every server id, then filter
@@ -109,7 +150,7 @@ def legacy_handle_query(agent: Agent, src: str, msg: QueryRequest):
         if cached is None:
             # seed predict_for: three spec evaluations per candidate,
             # with the complexity AST tree-walked (no compiled form)
-            base = predict(
+            base = _seed_predict(
                 flops=spec.complexity.interpret(env),
                 input_bytes=spec.input_bytes(env),
                 output_bytes=spec.output_bytes(env),
@@ -118,7 +159,7 @@ def legacy_handle_query(agent: Agent, src: str, msg: QueryRequest):
                 workload=entry.workload,
                 use_workload=agent.use_workload,
             )
-            cached = agent._inflate_pending(base, entry, agent.node.now())
+            cached = _seed_inflate_pending(base, entry, agent.node.now())
             predictions[entry.server_id] = cached
         return cached
 

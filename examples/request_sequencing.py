@@ -30,8 +30,8 @@ def main() -> None:
 
     seq = open_sequence(client, "blas/dgemv", {"m": n, "n": n}, wait=wait)
     print(f"sequence pinned to server {seq.server_id!r}")
-    nbytes = seq.store("A", a)
-    print(f"matrix shipped once: {nbytes / 1e6:.2f} MB\n")
+    stored = seq.store("A", a)
+    print(f"matrix shipped once: {stored.nbytes / 1e6:.2f} MB\n")
 
     start = tb.kernel.now
     eigenvalues = []

@@ -17,10 +17,6 @@ from .predictor import (
     NetworkInfo,
     StaticNetworkInfo,
     LearnedNetworkInfo,
-    Prediction,
-    effective_mflops,
-    predict,
-    predict_for,
 )
 from .registry import ServerEntry, ServerTable
 from .scheduler import (
@@ -45,10 +41,6 @@ __all__ = [
     "NetworkInfo",
     "StaticNetworkInfo",
     "LearnedNetworkInfo",
-    "Prediction",
-    "effective_mflops",
-    "predict",
-    "predict_for",
     "ServerEntry",
     "ServerTable",
     "SchedulingPolicy",

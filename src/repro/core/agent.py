@@ -58,20 +58,9 @@ from ..trace.events import EventLog
 from ..trace.instruments import MetricsRegistry
 from .fleet import HashRing, entry_fingerprint
 from .qos import QOS_CLASSES, qos_index
-from .predictor import (
-    NetworkInfo,
-    Prediction,
-    predict,
-    predict_batch,
-    predict_for,
-)
+from .predictor import NetworkInfo, predict_batch
 from .registry import ServerEntry, ServerTable
-from .scheduler import (
-    MinimumCompletionTime,
-    SchedulingPolicy,
-    make_policy,
-    mct_top_k,
-)
+from .scheduler import SchedulingPolicy, make_policy
 
 __all__ = ["Agent"]
 
@@ -710,77 +699,7 @@ class Agent(DispatchComponent):
         self._trace("sync_repair", server_id=sid, alive=bool(alive))
 
     # ------------------------------------------------------------------
-    def predict_entry(
-        self,
-        entry: ServerEntry,
-        spec: ProblemSpec,
-        env: dict,
-        client_host: str,
-        *,
-        resident_bytes: float = 0.0,
-    ) -> Prediction:
-        """The prediction the agent makes for one candidate server.
-
-        The reported workload degrades the server's effective speed
-        (processor sharing against other users), divided across the
-        server's advertised executor slots.  Requests the agent has
-        recently steered there but that no report reflects yet are
-        modelled as FIFO *queue wait* — each inflates the compute term by
-        one service time — because a server runs at most ``slots``
-        requests at a time: on a multi-slot server only every
-        ``slots``-th pending request adds a queueing round, so the hint
-        count divides by the slot count.
-
-        ``resident_bytes`` is how many of the request's input bytes are
-        already resident on this candidate (handle-referenced operands
-        homed there): those never cross the wire, so the send term
-        charges only the difference.  The default 0.0 takes the exact
-        pre-locality code path — handle-free queries rank bit-identically.
-        """
-        now = self.node.now()
-        if resident_bytes > 0.0:
-            base = predict(
-                flops=spec.flops(env),
-                input_bytes=max(0.0, spec.input_bytes(env) - resident_bytes),
-                output_bytes=spec.output_bytes(env),
-                link=self.network.link(client_host, entry.host),
-                peak_mflops=entry.mflops,
-                workload=entry.current_workload(now),
-                slots=entry.slots,
-                use_workload=self.use_workload,
-            )
-        else:
-            base = predict_for(
-                spec,
-                env,
-                link=self.network.link(client_host, entry.host),
-                peak_mflops=entry.mflops,
-                workload=entry.current_workload(now),
-                slots=entry.slots,
-                use_workload=self.use_workload,
-            )
-        return self._inflate_pending(base, entry, now)
-
-    def _inflate_pending(
-        self, base: Prediction, entry: ServerEntry, now: float
-    ) -> Prediction:
-        if not self.assignment_feedback:
-            return base
-        pending = entry.live_pending(now)
-        if pending == 0:
-            return base
-        # every full cohort of `slots` pending requests costs one more
-        # service time; slots=1 keeps the exact pre-slot inflation
-        rounds = pending // entry.slots if entry.slots > 1 else pending
-        if rounds == 0:
-            return base
-        return Prediction(
-            send_seconds=base.send_seconds,
-            compute_seconds=base.compute_seconds * (1 + rounds),
-            recv_seconds=base.recv_seconds,
-        )
-
-    def _rank_mct_vectorized(
+    def _predict(
         self,
         entries: list[ServerEntry],
         *,
@@ -790,16 +709,17 @@ class Agent(DispatchComponent):
         client_host: str,
         now: float,
         resident: Optional[dict] = None,
-    ) -> tuple[list[ServerEntry], list[float]]:
-        """MCT fast path: batch-predict all candidates, select top-k.
+    ) -> np.ndarray:
+        """Predicted completion seconds for every candidate, in order.
 
-        One numpy evaluation replaces len(entries) scalar predictions,
-        and partial selection replaces the full sort; the result is
-        bit-identical to ranking with :meth:`predict_entry` and slicing.
-        ``resident`` (server_id -> bytes already homed there) switches
-        the send term to per-candidate effective input bytes; ``None``
-        or empty keeps the scalar broadcast — and the exact pre-locality
-        arithmetic.
+        The reported workload (plus any live busy penalty) degrades a
+        server's effective speed, divided across its advertised executor
+        slots; requests the agent recently steered there but that no
+        report reflects yet count as queue wait (see
+        :func:`~repro.core.predictor.predict_batch`).  ``resident``
+        (server_id -> bytes already homed there) switches the send term
+        to per-candidate effective input bytes: those never cross the
+        wire.  ``None`` or empty broadcasts the scalar ``input_bytes``.
         """
         n = len(entries)
         latency = np.empty(n)
@@ -833,7 +753,7 @@ class Agent(DispatchComponent):
                 ],
                 dtype=np.float64,
             )
-        totals = predict_batch(
+        return predict_batch(
             flops=flops,
             input_bytes=in_bytes,
             output_bytes=output_bytes,
@@ -845,8 +765,6 @@ class Agent(DispatchComponent):
             slots=slots,
             use_workload=self.use_workload,
         )
-        order = mct_top_k(entries, totals, self.cfg.candidate_list_length)
-        return [entries[i] for i in order], [float(totals[i]) for i in order]
 
     @handles(CacheInsert)
     def _handle_cache_insert(self, src: str, msg: CacheInsert) -> None:
@@ -984,45 +902,20 @@ class Agent(DispatchComponent):
             if msg.resident else {}
         )
 
-        if isinstance(self.policy, MinimumCompletionTime):
-            top, predicted = self._rank_mct_vectorized(
-                entries,
-                flops=flops,
-                input_bytes=input_bytes,
-                output_bytes=output_bytes,
-                client_host=msg.client_host,
-                now=now,
-                resident=resident,
-            )
-        else:
-            predictions: dict[str, Prediction] = {}
-
-            def predict_cached(entry: ServerEntry) -> Prediction:
-                cached = predictions.get(entry.server_id)
-                if cached is None:
-                    in_bytes = input_bytes
-                    if resident:
-                        in_bytes = max(
-                            0.0,
-                            input_bytes - resident.get(entry.server_id, 0),
-                        )
-                    base = predict(
-                        flops=flops,
-                        input_bytes=in_bytes,
-                        output_bytes=output_bytes,
-                        link=self.network.link(msg.client_host, entry.host),
-                        peak_mflops=entry.mflops,
-                        workload=entry.current_workload(now),
-                        slots=entry.slots,
-                        use_workload=self.use_workload,
-                    )
-                    cached = self._inflate_pending(base, entry, now)
-                    predictions[entry.server_id] = cached
-                return cached
-
-            ranked = self.policy.rank(entries, predict_cached)
-            top = ranked[: self.cfg.candidate_list_length]
-            predicted = [predict_cached(e).total for e in top]
+        totals = self._predict(
+            entries,
+            flops=flops,
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
+            client_host=msg.client_host,
+            now=now,
+            resident=resident,
+        )
+        order = self.policy.rank(
+            entries, totals, self.cfg.candidate_list_length
+        )
+        top = [entries[i] for i in order]
+        predicted = [float(totals[i]) for i in order]
         if top:
             # assume the client sends to the head of the list; hold the
             # hint for roughly that request's predicted lifetime

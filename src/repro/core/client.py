@@ -54,7 +54,6 @@ from ..protocol.messages import (
     QueryReply,
     QueryRequest,
     DeleteObject,
-    ObjectRef,
     ResultStatus,
     SolveReply,
     SolveRequest,
@@ -269,7 +268,9 @@ class NetSolveClient(DispatchComponent):
         self._describing: dict[str, list[_Active]] = {}
         self._spec_waiters: dict[str, list[Promise]] = {}
         self._listing: dict[str, list[Promise]] = {}
-        self._storing: dict[tuple[str, str], list[tuple[Promise, bool]]] = {}
+        #: (server address, key) -> queued store/delete operations as
+        #: (message, promise); only the head is in flight
+        self._storing: dict[tuple[str, str], deque] = {}
         self._fetching: dict[tuple[str, int], list[Promise]] = {}
         #: (server address, key) -> promises awaiting an ObjectPayload
         self._object_fetches: dict[tuple[str, str], list[Promise]] = {}
@@ -416,58 +417,53 @@ class NetSolveClient(DispatchComponent):
     # ------------------------------------------------------------------
     # request sequencing: object store + pinned submits
     # ------------------------------------------------------------------
-    def store(self, server_address: str, key: str, value: Any) -> Promise:
-        """Cache ``value`` under ``key`` on a specific server.
-
-        The promise resolves with the stored byte count, or rejects if
-        the server refuses (cache full) or never answers.
-        """
-        return self._store_op(
-            server_address, key, StoreObject(key=key, value=value),
-            want_handle=False,
-        )
-
     def store_handle(
         self, server_address: str, key: str, value: Any,
     ) -> Promise:
-        """Like :meth:`store`, but resolve with the :class:`DataHandle`
-        the ack carries — digest, size and shape metadata included — so
-        the stored operand can be referenced or fetched with no further
-        round trip."""
+        """Pin ``value`` under ``key`` on a specific server.
+
+        The promise resolves with the :class:`DataHandle` the ack
+        carries — digest, size and shape metadata included — so the
+        stored operand can be referenced or fetched with no further
+        round trip.  It rejects if the server refuses (cache full) or
+        never answers."""
         return self._store_op(
-            server_address, key, StoreObject(key=key, value=value),
-            want_handle=True,
+            server_address, key, StoreObject(key=key, value=value)
         )
 
     def delete_stored(self, server_address: str, key: str) -> Promise:
-        """Drop a cached object; resolves True if it existed."""
-        return self._store_op(
-            server_address, key, DeleteObject(key=key), want_handle=False,
-        )
+        """Drop a cached object; resolves with the bytes freed (0 when
+        the key was absent)."""
+        return self._store_op(server_address, key, DeleteObject(key=key))
 
-    def _store_op(
-        self, server_address: str, key: str, msg: Any, *, want_handle: bool,
-    ) -> Promise:
+    def _store_op(self, server_address: str, key: str, msg: Any) -> Promise:
+        # operations on one (server, key) go out one at a time, in call
+        # order: an ack names only the key, so one operation in flight
+        # per key is what lets each promise resolve from its own ack
         promise = self.node.promise()
-        waiting = self._storing.setdefault((server_address, key), [])
-        waiting.append((promise, want_handle))
-        if len(waiting) == 1:
-            if self._metrics is not None:
-                self._metrics.store_ops.inc()
-            self.node.send(server_address, msg)
-            self._arm_store_timeout(server_address, key)
+        queue = self._storing.setdefault((server_address, key), deque())
+        queue.append((msg, promise))
+        if len(queue) == 1:
+            self._send_store_op(server_address, key, msg)
         return promise
 
+    def _send_store_op(self, server_address: str, key: str, msg: Any) -> None:
+        if self._metrics is not None:
+            self._metrics.store_ops.inc()
+        self.node.send(server_address, msg)
+        self._arm_store_timeout(server_address, key)
+
     def _arm_store_timeout(self, server_address: str, key: str) -> None:
-        # an ack cancels the deadline as it pops the batch; a later
+        # an ack cancels the deadline as it pops the head; the next
         # operation on the same key arms a fresh generation — the
-        # deadline table makes a stale fire against a successor batch
-        # structurally impossible
+        # deadline table makes a stale fire against a successor
+        # structurally impossible.  A silent server fails the head and
+        # everything queued behind it
         def fire() -> None:
-            batch = self._storing.pop((server_address, key), [])
+            batch = self._storing.pop((server_address, key), ())
             if self._metrics is not None:
                 self._metrics.store_timeouts.inc()
-            for p, _ in batch:
+            for _, p in batch:
                 if not p.done:
                     p.reject(
                         RequestFailed(
@@ -481,27 +477,24 @@ class NetSolveClient(DispatchComponent):
         )
 
     def fetch(
-        self, handle: "DataHandle | ObjectRef | str", *, address: str = ""
+        self, handle: "DataHandle | str", *, address: str = ""
     ) -> Promise:
         """Pull a server-resident object's bytes on demand.
 
         The read half of the reference path: a ``keep_result`` solve (or
         a DAG with keep nodes) answers with :class:`DataHandle` stubs;
         this turns one back into the value.  ``address`` overrides the
-        handle's home (required when ``handle`` is a bare key or an
-        :class:`ObjectRef`, which carry none).  The promise resolves
+        handle's home (required when ``handle`` is a bare key or a
+        key-only handle, which carry none).  The promise resolves
         with the object's value; it rejects with
         :class:`MissingObjectError` when the key is no longer resident
         (TTL lapse, eviction, server restarted the hard way) and
         :class:`RequestFailed` when the server never answers.
         """
-        if isinstance(handle, (DataHandle, ObjectRef)):
-            key = handle.key
+        if isinstance(handle, DataHandle):
+            key, target = handle.key, address or handle.address
         else:
-            key = str(handle)
-        target = address or (
-            handle.address if isinstance(handle, DataHandle) else ""
-        )
+            key, target = str(handle), address
         promise = self.node.promise()
         if not target:
             promise.reject(
@@ -758,14 +751,24 @@ class NetSolveClient(DispatchComponent):
 
     @handles(StoreAck)
     def _on_store_ack(self, src: str, msg: StoreAck) -> None:
+        queue = self._storing.get((src, msg.key))
+        if not queue:
+            return  # late ack for an operation that already timed out
         self._deadlines.cancel(("store", src, msg.key))
-        for promise, want_handle in self._storing.pop((src, msg.key), []):
-            if promise.done:
-                continue
-            if msg.ok:
-                promise.resolve(msg.handle if want_handle else msg.nbytes)
-            else:
-                promise.reject(RequestFailed(0, msg.detail or "store refused"))
+        op, promise = queue.popleft()
+        if queue:
+            self._send_store_op(src, msg.key, queue[0][0])
+        else:
+            del self._storing[(src, msg.key)]
+        if promise.done:
+            return
+        if msg.ok:
+            # a store resolves with its handle, a delete with bytes freed
+            promise.resolve(
+                msg.handle if isinstance(op, StoreObject) else msg.nbytes
+            )
+        else:
+            promise.reject(RequestFailed(0, msg.detail or "store refused"))
 
     def submit_pinned(
         self, problem: str, args: Sequence[Any], server_address: str,
@@ -775,8 +778,8 @@ class NetSolveClient(DispatchComponent):
         """Submit directly to one server, bypassing the agent.
 
         This is the execution half of request sequencing: arguments may
-        contain :class:`ObjectRef` placeholders (or :class:`DataHandle`
-        stubs) for operands previously :meth:`store`\\ d there.  No
+        contain :class:`DataHandle` references (key-only ones included)
+        to operands previously stored there.  No
         fail-over — a pinned request lives and dies with its server (the
         sequence's data is there).  ``keep_result`` and ``payloads``
         behave as in :meth:`submit`: the one recovery a pinned request
@@ -807,7 +810,7 @@ class NetSolveClient(DispatchComponent):
                 rid, problem, self.client_id, record.t_submit
             )
         spec = self._specs.get(problem)
-        refs = any(isinstance(a, (ObjectRef, DataHandle)) for a in args)
+        refs = any(isinstance(a, DataHandle) for a in args)
         if spec is not None and not refs:
             try:
                 coerced, env = validate_inputs(spec, list(args))
@@ -1442,8 +1445,7 @@ class NetSolveClient(DispatchComponent):
                 assert req.inputs is not None
                 req.inputs = tuple(
                     req.payloads[value.key]
-                    if isinstance(value, (ObjectRef, DataHandle))
-                    and value.key in gone
+                    if isinstance(value, DataHandle) and value.key in gone
                     else value
                     for value in req.inputs
                 )

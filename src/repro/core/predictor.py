@@ -7,13 +7,14 @@ server ``s`` reachable from client host ``c``, NetSolve predicts::
 
     T_send    = latency(c, s) + input_bytes(p, env)  / bandwidth(c, s)
     T_recv    = latency(c, s) + output_bytes(p, env) / bandwidth(c, s)
-    T_compute = flops(p, env) / (1e6 * effective_mflops(s))
+    T_compute = flops(p, env) / (1e6 * mflops(s)) * (1 + pending(s) // slots(s))
 
-    effective_mflops(s) = peak_mflops(s) * min(1, 100 * slots(s)
-                                                  / (100 + workload(s)))
+    mflops(s) = peak_mflops(s) * min(1, 100 * slots(s) / (100 + workload(s)))
 
 where ``workload`` is the server's last-reported UNIX load average times
-100 and ``slots`` is its advertised executor-worker count.  At
+100, ``slots`` is its advertised executor-worker count and ``pending``
+counts the requests the agent steered there that no report reflects
+yet.  :func:`predict_batch` evaluates it for a whole candidate set.  At
 ``slots=1`` the min() never binds below the classic NetSolve hypothesis
 ``P * 100 / (100 + w)`` — the formula *is* that hypothesis, computed
 with the identical expression, so single-slot decisions are
@@ -31,22 +32,17 @@ mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Mapping, Optional, Protocol
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..problems.spec import ProblemSpec
 
 __all__ = [
     "LinkEstimate",
     "NetworkInfo",
     "StaticNetworkInfo",
     "LearnedNetworkInfo",
-    "Prediction",
-    "effective_mflops",
-    "predict",
-    "predict_for",
     "predict_batch",
 ]
 
@@ -63,9 +59,6 @@ class LinkEstimate:
             raise ConfigError("latency must be >= 0")
         if self.bandwidth <= 0:
             raise ConfigError("bandwidth must be positive")
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        return self.latency + nbytes / self.bandwidth
 
 
 class NetworkInfo(Protocol):
@@ -162,101 +155,6 @@ class LearnedNetworkInfo:
         return LinkEstimate(latency=base.latency, bandwidth=learned)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Decomposed completion-time prediction (seconds)."""
-
-    send_seconds: float
-    compute_seconds: float
-    recv_seconds: float
-
-    @property
-    def total(self) -> float:
-        return self.send_seconds + self.compute_seconds + self.recv_seconds
-
-    @property
-    def network_seconds(self) -> float:
-        return self.send_seconds + self.recv_seconds
-
-
-def effective_mflops(
-    peak_mflops: float, workload: float, slots: int = 1
-) -> float:
-    """NetSolve's workload hypothesis, generalized to ``slots`` workers:
-    ``p = P * min(1, 100 * slots / (100 + w))``.
-
-    ``slots=1`` evaluates the exact classic expression
-    ``P * 100 / (100 + w)`` (same operations, same order), so existing
-    single-slot predictions do not move by so much as an ulp.  With
-    more slots the load divides across workers, capped at peak: a
-    server whose capacity (``100 * slots``) covers its runnable load
-    delivers full speed to one more job.
-    """
-    if peak_mflops <= 0:
-        raise ConfigError("peak_mflops must be positive")
-    if workload < 0:
-        raise ConfigError("workload must be >= 0")
-    if slots < 1:
-        raise ConfigError("slots must be >= 1")
-    if slots == 1:
-        return peak_mflops * 100.0 / (100.0 + workload)
-    capacity = 100.0 * slots
-    if capacity >= 100.0 + workload:
-        return peak_mflops
-    return peak_mflops * capacity / (100.0 + workload)
-
-
-def predict(
-    *,
-    flops: float,
-    input_bytes: float,
-    output_bytes: float,
-    link: LinkEstimate,
-    peak_mflops: float,
-    workload: float,
-    slots: int = 1,
-    use_workload: bool = True,
-) -> Prediction:
-    """Core prediction formula from raw quantities.
-
-    ``use_workload=False`` is the A1 ablation: the agent pretends every
-    server is idle.
-    """
-    if flops < 0 or input_bytes < 0 or output_bytes < 0:
-        raise ConfigError("flops and byte counts must be >= 0")
-    mflops = effective_mflops(
-        peak_mflops, workload if use_workload else 0.0, slots
-    )
-    return Prediction(
-        send_seconds=link.transfer_seconds(input_bytes),
-        compute_seconds=flops / (mflops * 1e6),
-        recv_seconds=link.transfer_seconds(output_bytes),
-    )
-
-
-def predict_for(
-    spec: ProblemSpec,
-    env: Mapping[str, int],
-    *,
-    link: LinkEstimate,
-    peak_mflops: float,
-    workload: float,
-    slots: int = 1,
-    use_workload: bool = True,
-) -> Prediction:
-    """Prediction for a problem spec at concrete sizes."""
-    return predict(
-        flops=spec.flops(env),
-        input_bytes=spec.input_bytes(env),
-        output_bytes=spec.output_bytes(env),
-        link=link,
-        peak_mflops=peak_mflops,
-        workload=workload,
-        slots=slots,
-        use_workload=use_workload,
-    )
-
-
 def predict_batch(
     *,
     flops: float,
@@ -267,36 +165,33 @@ def predict_batch(
     peak_mflops: np.ndarray,
     workload: np.ndarray,
     pending: np.ndarray,
-    slots: "np.ndarray | None" = None,
+    slots: np.ndarray,
     use_workload: bool = True,
 ) -> np.ndarray:
-    """Vectorized :func:`predict` over a candidate set.
+    """Predicted completion seconds for every candidate of one query.
 
-    ``flops``/``input_bytes``/``output_bytes`` are the per-query
-    invariants (they depend only on the problem spec and the size
-    bindings, so the caller evaluates them once); the array arguments
-    carry one element per candidate.  ``input_bytes`` may also be an
-    array (one element per candidate) when the bytes each server must
+    This is the agent's one prediction: every scheduling policy ranks
+    from (or reports) these totals.  ``flops``/``input_bytes``/
+    ``output_bytes`` are the per-query invariants (they depend only on
+    the problem spec and the size bindings, so the caller evaluates them
+    once); the array arguments carry one element per candidate.
+    ``input_bytes`` may also be an array when the bytes each server must
     actually receive differ — the locality-aware path charges only for
-    inputs not already resident on a candidate; passing the plain scalar
-    keeps the arithmetic (and hence the ranking) bit-identical to the
-    pre-locality model.  ``pending`` is the agent's
-    pending-assignment count per candidate — each live hint inflates the
-    compute term by one service time, exactly as
-    :meth:`~repro.core.agent.Agent.predict_entry` does.
+    inputs not already resident on a candidate; the plain scalar
+    broadcasts with bit-identical arithmetic.
 
-    ``slots`` (int per candidate; ``None`` means all-ones) divides both
-    the reported workload and the pending hints across a server's
-    executor workers.
+    ``pending`` is the agent's pending-assignment count per candidate:
+    requests steered there that no workload report reflects yet are
+    modelled as FIFO queue wait, each full cohort of ``slots`` hints
+    inflating the compute term by one service time.  ``slots`` (int per
+    candidate) also divides the reported
+    workload across a server's executor workers, following the
+    module-level formula branch for branch via ``np.where`` rather than
+    a ``minimum()`` (which could round differently at the capacity
+    boundary).  ``use_workload=False`` is the A1 ablation: every server
+    is treated as idle.
 
-    Returns total predicted seconds as a float64 array.  Every
-    arithmetic step mirrors the scalar path operation for operation —
-    the multi-slot branch replays :func:`effective_mflops`'s exact
-    branch structure via ``np.where`` rather than a ``minimum()``
-    (which could round differently at the capacity boundary) — so each
-    element is bit-identical to ``predict_for(...)`` plus the pending
-    inflation.  The property tests pin this; the scalar path remains
-    the reference implementation.
+    Returns total predicted seconds as a float64 array.
     """
     input_bytes = np.asarray(input_bytes, dtype=np.float64)
     if flops < 0 or (input_bytes.size and input_bytes.min() < 0) \
@@ -313,26 +208,20 @@ def predict_batch(
         raise ConfigError("workload must be >= 0")
     if not use_workload:
         workload = np.zeros_like(workload)
+    slots = np.asarray(slots, dtype=np.int64)
+    if slots.size and slots.min() < 1:
+        raise ConfigError("slots must be >= 1")
     mflops = peak_mflops * 100.0 / (100.0 + workload)
-    if slots is None:
-        inflation = 1 + pending
-    else:
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size and slots.min() < 1:
-            raise ConfigError("slots must be >= 1")
-        if np.any(slots > 1):
-            capacity = 100.0 * slots
-            multi = np.where(
-                capacity >= 100.0 + workload,
-                peak_mflops,
-                peak_mflops * capacity / (100.0 + workload),
-            )
-            mflops = np.where(slots > 1, multi, mflops)
-        inflation = 1 + pending // slots
+    if np.any(slots > 1):
+        capacity = 100.0 * slots
+        multi = np.where(
+            capacity >= 100.0 + workload,
+            peak_mflops,
+            peak_mflops * capacity / (100.0 + workload),
+        )
+        mflops = np.where(slots > 1, multi, mflops)
+    inflation = 1 + pending // slots
     send = latency + input_bytes / bandwidth
     compute = (flops / (mflops * 1e6)) * inflation
     recv = latency + output_bytes / bandwidth
     return send + compute + recv
-
-
-PredictFn = Callable[..., Prediction]

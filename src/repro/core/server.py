@@ -69,7 +69,6 @@ from ..protocol.messages import (
     FetchResult,
     NodeOutput,
     ObjectPayload,
-    ObjectRef,
     Ping,
     Pong,
     RegisterAck,
@@ -329,7 +328,7 @@ class ComputationalServer(DispatchComponent):
         #: opt-in process executor, created on first use (thread lanes
         #: belong to the transport node, not the server)
         self._process_pool: Optional[ProcessPool] = None
-        #: resident-object store behind ObjectRef/DataHandle references:
+        #: resident-object store behind DataHandle references:
         #: pinned client stores plus refcounted, TTL-bounded keep_result
         #: outputs.  Survives on_restart (in-process hiccup), cleared by
         #: on_shutdown (process death).
@@ -490,6 +489,9 @@ class ComputationalServer(DispatchComponent):
     def _workload_tick(self) -> None:
         assert self.reporter is not None
         self.reporter.tick(self.node.now())
+        # handle TTLs are otherwise enforced only when a key is looked
+        # up: an unfetched keep_result output would outlive its TTL
+        self.objects.sweep()
 
     def _broadcast_workload(self, value: float) -> None:
         self.node.send(
@@ -531,7 +533,7 @@ class ComputationalServer(DispatchComponent):
         self.node.send(src, Pong(nonce=msg.nonce))
 
     # ------------------------------------------------------------------
-    # resident-object store (ObjectRef / DataHandle)
+    # resident-object store (DataHandle references)
     # ------------------------------------------------------------------
     @property
     def cached_objects(self) -> int:
@@ -621,7 +623,7 @@ class ComputationalServer(DispatchComponent):
         resolved = []
         missing = []
         for value in inputs:
-            if isinstance(value, (ObjectRef, DataHandle)):
+            if isinstance(value, DataHandle):
                 obj = self.objects.entry(value.key)
                 if obj is None:
                     missing.append(value.key)
@@ -660,16 +662,13 @@ class ComputationalServer(DispatchComponent):
         cache without re-hashing resident megabytes.  Ref-free requests
         take the historical value-digest path, bit-identical to before.
         """
-        if not any(
-            isinstance(v, (ObjectRef, DataHandle)) for v in raw_inputs
-        ):
+        if not any(isinstance(v, DataHandle) for v in raw_inputs):
             return solve_digest(problem, coerced, env)
-        # normalize both ref flavours to ObjectRef so the folded digest
-        # depends on the resident *content*, not on which reference type
-        # (or possibly-stale carried digest) named it
+        # normalize every handle to a key-only one so the folded digest
+        # depends on the resident *content*, not on a possibly-stale
+        # digest the reference carried
         folded = [
-            ObjectRef(orig.key)
-            if isinstance(orig, (ObjectRef, DataHandle)) else value
+            DataHandle(orig.key) if isinstance(orig, DataHandle) else value
             for orig, value in zip(raw_inputs, coerced)
         ]
         return solve_digest(
@@ -1304,7 +1303,7 @@ class ComputationalServer(DispatchComponent):
         if problem not in self.registry or not self.registry.has_batch(problem):
             return None
         if msg.keep_result or any(
-            isinstance(v, (ObjectRef, DataHandle)) for v in msg.inputs
+            isinstance(v, DataHandle) for v in msg.inputs
         ):
             return None  # referenced/kept requests keep 1-at-a-time semantics
         spec = self.registry.spec(problem)
@@ -1333,10 +1332,7 @@ class ComputationalServer(DispatchComponent):
                 len(members) >= self.cfg.batch_max
                 or q_msg.problem != problem
                 or q_msg.keep_result
-                or any(
-                    isinstance(v, (ObjectRef, DataHandle))
-                    for v in q_msg.inputs
-                )
+                or any(isinstance(v, DataHandle) for v in q_msg.inputs)
             ):
                 kept.append(entry)
                 continue

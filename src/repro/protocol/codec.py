@@ -40,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import CodecError
-from .messages import MESSAGE_TYPES, DataHandle, Message, NodeOutput, ObjectRef
+from .messages import MESSAGE_TYPES, DataHandle, Message, NodeOutput
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -71,7 +71,7 @@ _T_LIST = 6
 _T_DICT = 7
 _T_NDARRAY = 8
 _T_COMPLEX = 9
-_T_OBJREF = 10
+# 10 was the retired key-only reference tag; a bare key is a DataHandle
 _T_HANDLE = 11
 _T_NODEOUT = 12
 
@@ -193,11 +193,6 @@ def _encode_iov(value: Any, b: _IovBuilder) -> None:
             b.add_payload(memoryview(contig).cast("B"))
         elif contig.nbytes:
             out += memoryview(contig).cast("B")
-    elif isinstance(value, ObjectRef):
-        raw = value.key.encode("utf-8")
-        out.append(_T_OBJREF)
-        out += _pack_u32(len(raw))
-        out += raw
     elif isinstance(value, DataHandle):
         if len(value.shape) > _MAX_NDIM:
             raise CodecError(f"handle rank {len(value.shape)} exceeds {_MAX_NDIM}")
@@ -291,8 +286,6 @@ def encoded_size(value: Any) -> int:
         # ascontiguousarray promotes 0-d to shape (1,) on the wire
         ndim = value.ndim or 1
         return 1 + 1 + len(name) + 1 + 8 * ndim + 8 + value.nbytes
-    if isinstance(value, ObjectRef):
-        return 5 + len(value.key.encode("utf-8"))
     if isinstance(value, DataHandle):
         if len(value.shape) > _MAX_NDIM:
             raise CodecError(f"handle rank {len(value.shape)} exceeds {_MAX_NDIM}")
@@ -415,12 +408,6 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             # BLAS call (unaligned loads are ~2x slower than one memcpy)
             arr = arr.copy()
         return arr
-    if tag == _T_OBJREF:
-        raw = reader.take(reader.u32())
-        try:
-            return ObjectRef(bytes(raw).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad utf-8 in object key: {exc}") from None
     if tag == _T_HANDLE:
         texts = []
         for _ in range(5):

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .core.client import NetSolveClient, RequestHandle
 from .errors import NetSolveError, NoServerError
-from .protocol.messages import Candidate, ObjectRef
+from .protocol.messages import Candidate, DataHandle
 from .protocol.transport import Promise
 
 __all__ = ["ServerSequence", "open_sequence"]
@@ -63,17 +63,23 @@ class ServerSequence:
     def _qualify(self, key: str) -> str:
         return f"{self._namespace}/{key}"
 
-    def ref(self, key: str) -> ObjectRef:
+    def ref(self, key: str) -> DataHandle:
         """Reference a previously stored operand by its local key."""
-        return ObjectRef(self._qualify(key))
+        return DataHandle(
+            self._qualify(key),
+            server_id=self.server_id,
+            address=self.server_address,
+        )
 
     def store(self, key: str, value: Any) -> Any:
         """Ship ``value`` to the sequence's server once.
 
-        Blocking when the sequence has a waiter (returns stored bytes);
-        otherwise returns the promise.
+        Blocking when the sequence has a waiter (returns the stored
+        operand's :class:`DataHandle`); otherwise returns the promise.
         """
-        promise = self.client.store(self.server_address, self._qualify(key), value)
+        promise = self.client.store_handle(
+            self.server_address, self._qualify(key), value
+        )
         self.keys.append(key)
         self._values[self._qualify(key)] = value
         if self._wait is None:

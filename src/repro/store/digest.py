@@ -11,9 +11,9 @@ bytes (and hence the digest).  The hash is folded incrementally over the
 scatter/gather parts, so a megabyte matrix is hashed straight out of its
 own buffer — no serialization pass, no copy.
 
-Reference folding: an input that is a :class:`DataHandle` (or an
-:class:`ObjectRef` the caller can resolve to a stored digest) does not
-make the request un-addressable.  Its position contributes the *stored
+Reference folding: an input that is a :class:`DataHandle` (carrying its
+digest, or with a key the caller can resolve to a stored digest) does
+not make the request un-addressable.  Its position contributes the *stored
 content digest* of the referenced object — a constant-size marker — so a
 handle-bearing request digests in O(1) of the referenced payload and
 repeat submissions hit the result cache without the value ever being
@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..errors import CodecError
 from ..protocol.codec import encoded_parts
-from ..protocol.messages import DataHandle, ObjectRef
+from ..protocol.messages import DataHandle
 
 __all__ = ["solve_digest"]
 
@@ -57,11 +57,6 @@ def _fold(value: Any, resolve: Optional[Callable[[str], Optional[str]]]):
         if not digest:
             raise _Unresolvable
         return (_REF_MARK, digest)
-    if isinstance(value, ObjectRef):
-        digest = resolve(value.key) if resolve is not None else None
-        if not digest:
-            raise _Unresolvable
-        return (_REF_MARK, digest)
     if isinstance(value, (list, tuple)):
         return tuple(_fold(item, resolve) for item in value)
     if isinstance(value, dict):
@@ -79,9 +74,8 @@ def solve_digest(
     """Hex digest keying ``(problem, inputs, env)``, or ``None``.
 
     Inputs containing references digest by *folding*: a
-    :class:`DataHandle` contributes the content digest it carries (or
-    the one ``resolve_ref`` returns for its key), an :class:`ObjectRef`
-    the digest ``resolve_ref`` returns.  Returns ``None`` when the
+    :class:`DataHandle` contributes the content digest it carries, or —
+    for a key-only handle — the one ``resolve_ref`` returns for its key.  Returns ``None`` when the
     request is not content-addressable: a reference whose digest is not
     in hand (no resolver, or the resolver answers ``None`` — e.g. the
     key is not resident), or values the codec cannot encode.  Callers

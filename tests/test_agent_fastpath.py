@@ -1,10 +1,11 @@
 """Property tests pinning the agent's query fast path to the scalar
 reference implementations.
 
-The fast path (compiled complexity expressions, vectorized
-``predict_batch``, partial top-k selection) must change *nothing* about
-scheduling decisions: every test here asserts exact float equality and
-identical orderings, not approximate closeness.
+The fast path (compiled complexity expressions, the vectorized
+``predict_batch`` predictor, partial top-k selection) must agree with
+the scalar oracle in ``tests/mct_oracle.py`` and the full sort: every
+test here asserts exact float equality and identical orderings, not
+approximate closeness.
 """
 
 import math
@@ -13,18 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.predictor import LinkEstimate, predict, predict_batch
+from repro.core.predictor import LinkEstimate, predict_batch
 from repro.core.registry import ServerTable
-from repro.core.scheduler import (
-    MinimumCompletionTime,
-    RoundRobinPolicy,
-    mct_top_k,
-)
+from repro.core.scheduler import MinimumCompletionTime, RoundRobinPolicy
 from repro.problems.complexity import Complexity
+from tests.mct_oracle import mct_order, predict
 
 
 # ----------------------------------------------------------------------
-# predict_batch == scalar predict (+ pending inflation), bit for bit
+# predict_batch == the scalar oracle (+ pending inflation), bit for bit
 # ----------------------------------------------------------------------
 candidate = st.tuples(
     st.floats(min_value=0.1, max_value=1e5),     # peak mflops
@@ -42,7 +40,7 @@ query_invariants = st.tuples(
 
 
 def scalar_totals(cands, flops, input_bytes, output_bytes, use_workload):
-    """The pre-change per-candidate path: predict() + pending inflation."""
+    """The oracle, one candidate at a time: predict() + pending inflation."""
     totals = []
     for peak, workload, pending, latency, bandwidth in cands:
         base = predict(
@@ -81,6 +79,7 @@ def test_predict_batch_matches_scalar_exactly(cands, invariants, use_workload):
         peak_mflops=np.array([c[0] for c in cands]),
         workload=np.array([c[1] for c in cands]),
         pending=np.array([c[2] for c in cands], dtype=np.int64),
+        slots=np.ones(len(cands), dtype=np.int64),
         use_workload=use_workload,
     )
     assert got.dtype == np.float64
@@ -107,16 +106,111 @@ def test_mct_top_k_matches_full_sort(totals, k, dup):
             mflops=1.0, problems={"p"}, now=0.0,
         )
     entries = table.entries()
-    full = MinimumCompletionTime().rank(
-        entries,
-        lambda e: type(
-            "P", (), {"total": totals[entries.index(e)]}
-        )(),
+    chosen = MinimumCompletionTime().rank(entries, totals, k)
+    assert chosen == mct_order(entries, totals)[:k]
+
+
+# ----------------------------------------------------------------------
+# every policy reports the oracle's predictions and holds its hint
+# ----------------------------------------------------------------------
+def _policy_world(policy):
+    from repro.config import AgentConfig
+    from repro.core.agent import Agent
+    from repro.core.predictor import StaticNetworkInfo
+    from repro.problems.builtin import builtin_registry
+    from repro.protocol.transport import Component, SimTransport
+    from repro.simnet.kernel import EventKernel
+    from repro.simnet.network import Topology
+
+    class Probe(Component):
+        def __init__(self):
+            self.inbox = []
+
+        def on_message(self, src, msg):
+            self.inbox.append(msg)
+
+    kernel = EventKernel()
+    topo = Topology(kernel)
+    for h in ("ah", "ch", "h0", "h1", "h2"):
+        topo.add_host(h, 100.0)
+    topo.connect_all(latency=1e-3, bandwidth=1e7)
+    transport = SimTransport(topo)
+    net = StaticNetworkInfo(default=LinkEstimate(latency=1e-3, bandwidth=1e7))
+    net.set("ch", "h1", LinkEstimate(latency=4e-3, bandwidth=2.5e6))
+    net.set("ch", "h2", LinkEstimate(latency=2e-4, bandwidth=5e7))
+    agent = Agent(
+        network=net,
+        cfg=AgentConfig(policy=policy, candidate_list_length=3),
+        rng=np.random.default_rng(7),
     )
-    chosen = mct_top_k(entries, totals, k)
-    assert [entries[i].server_id for i in chosen] == [
-        e.server_id for e in full[:k]
-    ]
+    transport.add_node("agent", "ah", agent)
+    probe = Probe()
+    transport.add_node("peer", "ch", probe)
+    spec = builtin_registry().spec("linsys/dgesv")
+    agent.specs[spec.name] = spec
+    kernel.run(until=5.0)
+    table = agent.table
+    # mixed speeds, hosts, slots, loads, busy penalties and pending
+    # hints, so every term of the model is live
+    for i, (host, mflops, slots, load) in enumerate([
+        ("h0", 80.0, 1, 0.0), ("h1", 300.0, 4, 350.0), ("h2", 120.0, 1, 50.0),
+        ("h0", 200.0, 2, 120.0), ("h1", 60.0, 1, 10.0),
+    ]):
+        sid = f"s{i}"
+        table.register(server_id=sid, address=f"server/{sid}", host=host,
+                       mflops=mflops, problems={spec.name}, now=0.0,
+                       slots=slots)
+        table.report_workload(sid, load, 1.0)
+    table.penalize("s2", 2.0, workload=200.0, hold_for=60.0)
+    for sid, hold in [("s0", 30.0), ("s0", 40.0), ("s1", 30.0),
+                      ("s1", 30.0), ("s3", 2.0)]:
+        table.note_assignment(sid, 4.0, hold_for=hold)
+    return kernel, agent, probe, spec
+
+
+@pytest.mark.parametrize("policy", ["random", "roundrobin", "fastestpeak"])
+def test_non_mct_policies_report_oracle_predictions_and_hold(policy):
+    from repro.protocol.messages import QueryReply, QueryRequest
+    from tests.mct_oracle import predict_entry
+
+    kernel, agent, probe, spec = _policy_world(policy)
+    env = {"n": 200}
+    resident = {"s2": 200 * 200 * 8}
+    for _ in range(3):
+        now = kernel.now
+        entries = agent.table.candidates_for(spec.name)
+        expected = {
+            e.server_id: predict_entry(
+                agent, e, spec, env, "ch",
+                resident_bytes=resident.get(e.server_id, 0),
+            ).total
+            for e in entries
+        }
+        before = {
+            e.server_id: sorted(e.pending_expiries) for e in entries
+        }
+        agent.on_message("peer", QueryRequest(
+            problem=spec.name, sizes=env, client_host="ch",
+            resident=resident,
+        ))
+        kernel.run(until=now + 1.0)
+        reply = probe.inbox.pop()
+        assert isinstance(reply, QueryReply) and reply.ok
+        cands = reply.candidate_list()
+        assert len(cands) == 3
+        ids = [c.server_id for c in cands]
+        # exact float equality with the scalar oracle
+        assert [c.predicted_seconds for c in cands] == [
+            expected[i] for i in ids
+        ]
+        if policy == "fastestpeak":
+            assert ids == ["s1", "s3", "s2"]
+        # the head's pending hint is held for its predicted lifetime
+        head = agent.table.get(ids[0])
+        hold = min(600.0, max(1.0, expected[ids[0]] * 1.5))
+        assert sorted(head.pending_expiries) == sorted(
+            [e for e in before[ids[0]] if e > now] + [now + hold]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -204,22 +298,22 @@ def test_roundrobin_rotation_survives_churn():
             mflops=1.0, problems={"p"}, now=0.0,
         )
     policy = RoundRobinPolicy()
-    predict = lambda e: None  # round robin never predicts
+
+    def rank(entries):
+        # round robin never reads the predicted totals
+        return [entries[i].server_id
+                for i in policy.rank(entries, [0.0] * len(entries), 8)]
 
     # full set: rotation advances one per query
     firsts = [
-        policy.rank(_entries(table, ["s0", "s1", "s2", "s3"]), predict)[0].server_id
-        for _ in range(4)
+        rank(_entries(table, ["s0", "s1", "s2", "s3"]))[0] for _ in range(4)
     ]
     assert firsts == ["s0", "s1", "s2", "s3"]
 
     # the set shrinks: every rank is still a permutation of the input
     # and the rotation keeps advancing (no stuck or skipped counter)
     shrunk = _entries(table, ["s0", "s2"])
-    orders = [
-        tuple(e.server_id for e in policy.rank(shrunk, predict))
-        for _ in range(4)
-    ]
+    orders = [tuple(rank(shrunk)) for _ in range(4)]
     for order in orders:
         assert sorted(order) == ["s0", "s2"]
     assert orders[0] != orders[1]  # shift advanced
@@ -231,9 +325,7 @@ def test_roundrobin_rotation_survives_churn():
         mflops=1.0, problems={"p"}, now=0.0,
     )
     grown = _entries(table, ["s0", "s1", "s2", "s3", "s9"])
-    seen_firsts = {
-        policy.rank(grown, predict)[0].server_id for _ in range(5)
-    }
+    seen_firsts = {rank(grown)[0] for _ in range(5)}
     assert seen_firsts == {"s0", "s1", "s2", "s3", "s9"}
 
 

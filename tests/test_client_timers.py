@@ -82,13 +82,13 @@ def test_stale_store_timer_spares_successor_batch():
     addr = server_address("s0")
     t0 = tb.kernel.now
 
-    st1 = client.store(addr, "seq/x", np.ones(8))
+    st1 = client.store_handle(addr, "seq/x", np.ones(8))
     tb.run(until=t0 + 1.0)
-    assert st1.done and st1.result() > 0
+    assert st1.done and st1.result().nbytes > 0
 
     tb.transport.crash(addr)
     tb.run(until=t0 + 2.0)
-    st2 = client.store(addr, "seq/x", np.ones(8))
+    st2 = client.store_handle(addr, "seq/x", np.ones(8))
 
     tb.run(until=t0 + 6.0)
     # pre-fix: st1's timer fired at t0+5 and rejected st2 early

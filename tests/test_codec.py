@@ -16,6 +16,7 @@ from repro.protocol.codec import (
     frame_size,
 )
 from repro.protocol.messages import (
+    DataHandle,
     Ping,
     QueryReply,
     QueryRequest,
@@ -140,6 +141,20 @@ def test_truncated_value_rejected():
 def test_unknown_tag_rejected():
     with pytest.raises(CodecError, match="unknown tag"):
         decode_value(b"\xfe")
+
+
+def test_key_only_handle_roundtrip_and_retired_ref_tag():
+    # a bare key travels as a key-only DataHandle (tag 11); tag 10, the
+    # retired key-only reference, no longer decodes
+    for ref in (DataHandle("seq/A"),
+                DataHandle("k", server_id="s0", address="server/s0")):
+        buf = bytearray()
+        encode_value(ref, buf)
+        assert buf[0] == 11
+        assert encoded_size(ref) == len(buf)
+        assert decode_value(bytes(buf)) == ref
+    with pytest.raises(CodecError, match="unknown tag 10"):
+        decode_value(b"\x0a\x01\x00\x00\x00k")
 
 
 def test_bad_bool_byte_rejected():

@@ -124,7 +124,9 @@ def test_random_crash_revive_schedule_sim(seed):
         tb.run(until=at)
         handles.append(tb.submit("c0", "linsys/dgesv", list(linsys())))
         lists.append(client.list_problems(""))
-        stores.append(client.store(addresses[0], "churn/key", np.ones(16)))
+        stores.append(
+            client.store_handle(addresses[0], "churn/key", np.ones(16))
+        )
     tb.run(until=t0 + 200.0)
 
     # everything terminal: stale timers killing successor batches would

@@ -14,7 +14,7 @@ slow) or — far worse — false hits.
 import numpy as np
 import pytest
 
-from repro.protocol.messages import ObjectRef
+from repro.protocol.messages import DataHandle
 from repro.store import solve_digest
 
 RNG = np.random.default_rng(20260808)
@@ -162,10 +162,11 @@ def test_scalar_and_mixed_operands():
 
 
 def test_object_refs_are_not_digestable():
-    """Sequenced requests name server-side state: their content is not
-    in the message, so they must never be cached by content."""
-    assert solve_digest("p", [ObjectRef(key="x"), np.ones(2)]) is None
-    assert solve_digest("p", [[ObjectRef(key="x")]]) is None
+    """Key-only references name server-side state: their content is
+    not in the message, so without a resolver they must never be cached
+    by content."""
+    assert solve_digest("p", [DataHandle(key="x"), np.ones(2)]) is None
+    assert solve_digest("p", [[DataHandle(key="x")]]) is None
 
 
 def test_codec_rejected_values_are_not_digestable():

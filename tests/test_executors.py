@@ -22,13 +22,7 @@ import pytest
 
 from repro.config import ServerConfig
 from repro.core.executors import WorkerPool
-from repro.core.predictor import (
-    LinkEstimate,
-    StaticNetworkInfo,
-    effective_mflops,
-    predict,
-    predict_batch,
-)
+from repro.core.predictor import LinkEstimate, StaticNetworkInfo, predict_batch
 from repro.errors import NetSolveError
 from repro.problems.builtin import builtin_registry
 from repro.protocol.messages import (
@@ -40,6 +34,7 @@ from repro.protocol.messages import (
     WorkloadReport,
 )
 from repro.trace.instruments import Observability, render_snapshot
+from tests.mct_oracle import effective_mflops, predict
 
 RNG = np.random.default_rng(99)
 

@@ -13,10 +13,11 @@ import pytest
 from repro.config import AgentConfig, ClientConfig, ServerConfig
 from repro.core.predictor import predict_batch
 from repro.errors import MissingObjectError, RequestFailed
-from repro.protocol.messages import DataHandle, ObjectRef
+from repro.protocol.messages import DataHandle
 from repro.sequencing import open_sequence
 from repro.simnet.rng import RngStreams
 from repro.testbed import server_address, standard_testbed
+from tests.mct_oracle import predict_entry
 
 
 def linsys(n, seed=0):
@@ -50,6 +51,27 @@ def test_brokered_solve_with_handle_and_keep_result():
     assert out_h.server_id and out_h.address
     x = tb.fetch("c0", out_h)
     assert np.allclose(x, np.linalg.solve(a, b))
+
+
+def test_unfetched_keep_result_output_expires_without_lookup():
+    # regression: handle TTLs were enforced only when a key was looked
+    # up, so a keep_result output nobody fetched stayed resident long
+    # past handle_ttl; the server now sweeps on its workload tick
+    ttl = 30.0
+    tb = standard_testbed(
+        n_servers=2, seed=3, server_cfg=ServerConfig(handle_ttl=ttl),
+    )
+    tb.settle()
+    a, b = linsys(48)
+    (out_h,) = tb.solve("c0", "linsys/dgesv", [a, b], keep_result=True)
+    assert isinstance(out_h, DataHandle)
+    server = tb.server(out_h.server_id)
+    assert len(server.objects) == 1
+    tick = server.cfg.workload.time_step
+    tb.run(until=tb.kernel.now + ttl + tick + 1.0)
+    # len() is not a lookup: only the sweep can have reclaimed it
+    assert len(server.objects) == 0
+    assert server.objects.expirations == 1
 
 
 def test_fetch_missing_key_rejects_typed():
@@ -90,8 +112,8 @@ def test_handle_repeat_hits_server_result_cache():
     first = seq.solve("linsys/dgesv", [seq.ref("A"), b])
     assert server.result_cache.hits == 0
     second = seq.solve("linsys/dgesv", [seq.ref("A"), b])
-    # pre-fix, solve_digest returned None for ObjectRef inputs and the
-    # repeat recomputed; folding the stored digest makes it a cache hit
+    # pre-fix, solve_digest returned None for key-only references and
+    # the repeat recomputed; folding the stored digest makes it a cache hit
     assert server.result_cache.hits == 1
     assert np.array_equal(first[0], second[0])
 
@@ -144,7 +166,7 @@ def test_missing_object_fails_fast_without_payloads():
     tb.settle()
     _, b = linsys(24)
     handle = tb.submit("c0", "linsys/dgesv",
-                       [ObjectRef("never-stored"), b])
+                       [DataHandle("never-stored"), b])
     # the pinned path is not needed: brokered requests may reference too
     with pytest.raises(RequestFailed):
         tb.transport.run_until(handle.promise)
@@ -228,8 +250,8 @@ def test_residency_steers_scheduling_to_data():
 
 
 def test_handle_free_ranking_bit_identical():
-    # property: an empty resident map must take the scalar code path —
-    # same totals, same ranking, to the last ulp
+    # property: an empty resident map broadcasts the scalar input bytes
+    # — same totals, same ranking, to the last ulp
     rng = np.random.default_rng(11)
     n = 16
     kwargs = dict(
@@ -250,8 +272,8 @@ def test_handle_free_ranking_bit_identical():
 
 
 def test_locality_consistent_across_ranking_paths():
-    # the scalar predict_entry path and the vectorized MCT path must
-    # agree on the locality-adjusted totals for every candidate
+    # the agent's batch predictor must agree with the scalar oracle on
+    # the locality-adjusted totals for every candidate
     tb = standard_testbed(
         n_servers=3, server_mflops=[50.0, 100.0, 200.0], seed=13,
     )
@@ -261,7 +283,7 @@ def test_locality_consistent_across_ranking_paths():
     env = {"n": 300}
     entries = agent.table.candidates_for("linsys/dgesv", exclude=())
     resident = {"s0": int(300 * 300 * 8)}
-    top, totals = agent._rank_mct_vectorized(
+    totals = agent._predict(
         entries,
         flops=spec.flops(env),
         input_bytes=spec.input_bytes(env),
@@ -270,9 +292,10 @@ def test_locality_consistent_across_ranking_paths():
         now=agent.node.now(),
         resident=resident,
     )
-    for entry, total in zip(top, totals):
-        scalar = agent.predict_entry(
-            entry, spec, env, "apollo",
+    assert len(totals) == len(entries) == 3
+    for entry, total in zip(entries, totals):
+        scalar = predict_entry(
+            agent, entry, spec, env, "apollo",
             resident_bytes=resident.get(entry.server_id, 0),
         )
         assert total == scalar.total

@@ -1,22 +1,27 @@
-"""Unit tests for the completion-time predictor."""
+"""Unit tests for the completion-time model.
+
+The model's arithmetic is checked on its scalar statement in
+``tests/mct_oracle.py``; ``test_agent_fastpath`` pins the agent's batch
+predictor to that oracle bit for bit.
+"""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.predictor import (
-    LinkEstimate,
-    StaticNetworkInfo,
+from repro.core.predictor import LinkEstimate, StaticNetworkInfo
+from repro.problems.builtin import builtin_registry
+from tests.mct_oracle import (
     effective_mflops,
     predict,
     predict_for,
+    transfer_seconds,
 )
-from repro.problems.builtin import builtin_registry
 
 
 def test_link_estimate_transfer_seconds():
     link = LinkEstimate(latency=0.01, bandwidth=1e6)
-    assert link.transfer_seconds(1e6) == pytest.approx(1.01)
-    assert link.transfer_seconds(0) == pytest.approx(0.01)
+    assert transfer_seconds(link, 1e6) == pytest.approx(1.01)
+    assert transfer_seconds(link, 0) == pytest.approx(0.01)
 
 
 def test_link_estimate_validation():

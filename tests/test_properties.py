@@ -86,15 +86,15 @@ def test_codec_roundtrip_arrays(arr):
 # single-buffer encoder, and frame_size is exact without serializing
 # ----------------------------------------------------------------------
 def _legacy_encode_value(value, out: bytearray) -> None:
-    """The seed codec's single-buffer encoder, kept verbatim as the
-    byte-identity reference for the scatter/gather path."""
+    """The seed codec's single-buffer encoder (less its retired
+    key-only reference tag), kept as the byte-identity reference for
+    the scatter/gather path."""
     import struct
 
     from repro.protocol.codec import (
         _T_BOOL, _T_BYTES, _T_COMPLEX, _T_DICT, _T_FLOAT, _T_INT, _T_LIST,
-        _T_NDARRAY, _T_NONE, _T_OBJREF, _T_STR,
+        _T_NDARRAY, _T_NONE, _T_STR,
     )
-    from repro.protocol.messages import ObjectRef
 
     if value is None:
         out.append(_T_NONE)
@@ -132,11 +132,6 @@ def _legacy_encode_value(value, out: bytearray) -> None:
             out += struct.pack("<q", dim)
         raw = contig.tobytes()
         out += struct.pack("<Q", len(raw))
-        out += raw
-    elif isinstance(value, ObjectRef):
-        raw = value.key.encode("utf-8")
-        out.append(_T_OBJREF)
-        out += struct.pack("<I", len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST)

@@ -12,7 +12,7 @@ from repro.core.predictor import (
 )
 from repro.core.request import RequestStatus
 from repro.errors import ConfigError, RequestFailed
-from repro.protocol.messages import ObjectRef
+from repro.protocol.messages import DataHandle
 from repro.sequencing import ServerSequence, open_sequence
 from repro.testbed import (
     ClientDef,
@@ -44,12 +44,12 @@ def wait(world):
 def test_store_and_reference(tb):
     client = tb.client("c0")
     a = RNG.standard_normal((64, 64)) + 64 * np.eye(64)
-    nbytes = wait(tb)(client.store(server_address("s1"), "A", a))
-    assert nbytes > 64 * 64 * 8
+    stored = wait(tb)(client.store_handle(server_address("s1"), "A", a))
+    assert stored.nbytes > 64 * 64 * 8
     assert tb.server("s1").cached_objects == 1
     x = RNG.standard_normal(64)
     handle = client.submit_pinned(
-        "blas/dgemv", [ObjectRef("A"), x], server_address("s1"),
+        "blas/dgemv", [DataHandle("A"), x], server_address("s1"),
         server_id="s1",
     )
     tb.wait_all([handle])
@@ -60,7 +60,7 @@ def test_store_and_reference(tb):
 def test_unknown_ref_is_structured_error(tb):
     client = tb.client("c0")
     handle = client.submit_pinned(
-        "blas/dgemv", [ObjectRef("never-stored"), np.ones(4)],
+        "blas/dgemv", [DataHandle("never-stored"), np.ones(4)],
         server_address("s0"), server_id="s0",
     )
     tb.wait_all([handle])
@@ -73,9 +73,9 @@ def test_unknown_ref_is_structured_error(tb):
 def test_store_overwrite_replaces_bytes(tb):
     client = tb.client("c0")
     addr = server_address("s0")
-    wait(tb)(client.store(addr, "k", np.zeros(1000)))
+    wait(tb)(client.store_handle(addr, "k", np.zeros(1000)))
     before = tb.server("s0").cached_bytes
-    wait(tb)(client.store(addr, "k", np.zeros(10)))
+    wait(tb)(client.store_handle(addr, "k", np.zeros(10)))
     assert tb.server("s0").cached_objects == 1
     assert tb.server("s0").cached_bytes < before
 
@@ -83,12 +83,45 @@ def test_store_overwrite_replaces_bytes(tb):
 def test_delete_stored_idempotent(tb):
     client = tb.client("c0")
     addr = server_address("s0")
-    wait(tb)(client.store(addr, "k", np.zeros(100)))
+    wait(tb)(client.store_handle(addr, "k", np.zeros(100)))
     freed = wait(tb)(client.delete_stored(addr, "k"))
     assert freed > 800
     again = wait(tb)(client.delete_stored(addr, "k"))
     assert again == 0
     assert tb.server("s0").cached_bytes == 0
+
+
+def test_delete_during_inflight_store_is_sent_and_acked_alone(tb):
+    # regression: operations on one (server, key) used to coalesce —
+    # only the first went out and every later promise resolved with its
+    # ack, so this delete "freed" the stored byte count while the
+    # object stayed resident
+    client = tb.client("c0")
+    addr = server_address("s0")
+    stored = client.store_handle(addr, "k", np.zeros(100))
+    freed = client.delete_stored(addr, "k")
+    assert not stored.done
+    tb.run(until=tb.kernel.now + 5.0)
+    handle = stored.result()
+    assert isinstance(handle, DataHandle) and handle.key == "k"
+    assert freed.result() == handle.nbytes
+    assert tb.server("s0").cached_objects == 0
+
+
+def test_back_to_back_stores_each_resolve_from_own_ack(tb):
+    # regression: the second store of a key was never sent, so the
+    # server kept the first value while the client believed the second
+    # was stored (and both promises carried the first handle)
+    client = tb.client("c0")
+    addr = server_address("s0")
+    first = client.store_handle(addr, "k", np.zeros(100))
+    second = client.store_handle(addr, "k", np.ones(10))
+    tb.run(until=tb.kernel.now + 5.0)
+    h1, h2 = first.result(), second.result()
+    assert h1.digest != h2.digest
+    assert h2.nbytes < h1.nbytes
+    assert tb.server("s0").objects.digest_of("k") == h2.digest
+    assert np.array_equal(tb.fetch("c0", h2), np.ones(10))
 
 
 def test_store_cache_cap_refuses():
@@ -102,7 +135,9 @@ def test_store_cache_cap_refuses():
     )
     world.settle()
     client = world.client("c0")
-    promise = client.store(server_address("s0"), "big", np.zeros(10_000))
+    promise = client.store_handle(
+        server_address("s0"), "big", np.zeros(10_000)
+    )
     world.run(until=world.kernel.now + 60.0)
     with pytest.raises(RequestFailed, match="cache full"):
         promise.result()
@@ -116,7 +151,7 @@ def test_store_to_dead_server_times_out():
     )
     world.settle()
     world.transport.crash(server_address("s0"))
-    promise = world.client("c0").store(
+    promise = world.client("c0").store_handle(
         server_address("s0"), "k", np.zeros(10)
     )
     world.run(until=world.kernel.now + 30.0)
@@ -201,7 +236,7 @@ def test_sequence_without_waiter_returns_promises(tb):
     promise = seq.store("k", np.ones(4))
     assert not promise.done
     tb.run(until=tb.kernel.now + 5.0)
-    assert promise.result() > 0
+    assert promise.result().nbytes > 0
     with pytest.raises(Exception):
         seq.solve("blas/dnrm2", [seq.ref("k")])
 

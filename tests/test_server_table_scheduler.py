@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NetSolveError
-from repro.core.predictor import Prediction
 from repro.core.registry import ServerTable
 from repro.core.scheduler import (
     FastestPeakPolicy,
@@ -130,69 +129,72 @@ def test_known_problems_union():
 # ----------------------------------------------------------------------
 # policies
 # ----------------------------------------------------------------------
-def fixed_predict(values):
-    def predict(entry):
-        t = values[entry.server_id]
-        return Prediction(send_seconds=0.0, compute_seconds=t, recv_seconds=0.0)
-
-    return predict
+def ranked_ids(policy, table, values, k=None):
+    """Run ``policy.rank`` over the table with fixed predicted totals
+    (server id -> seconds); returns the chosen server ids, best first."""
+    entries = table.entries()
+    totals = [values[e.server_id] for e in entries]
+    k = len(entries) if k is None else k
+    return [entries[i].server_id for i in policy.rank(entries, totals, k)]
 
 
 def test_mct_sorts_by_prediction():
     table = table_with(3)
-    predict = fixed_predict({"s0": 3.0, "s1": 1.0, "s2": 2.0})
-    ranked = MinimumCompletionTime().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s1", "s2", "s0"]
+    values = {"s0": 3.0, "s1": 1.0, "s2": 2.0}
+    policy = MinimumCompletionTime()
+    assert ranked_ids(policy, table, values) == ["s1", "s2", "s0"]
+    assert ranked_ids(policy, table, values, k=2) == ["s1", "s2"]
 
 
 def test_mct_deterministic_tiebreak():
     table = table_with(3)
-    predict = fixed_predict({"s0": 1.0, "s1": 1.0, "s2": 1.0})
-    ranked = MinimumCompletionTime().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s0", "s1", "s2"]
+    values = {"s0": 1.0, "s1": 1.0, "s2": 1.0}
+    ranked = ranked_ids(MinimumCompletionTime(), table, values)
+    assert ranked == ["s0", "s1", "s2"]
 
 
 def test_random_policy_permutes_deterministically():
     table = table_with(5)
-    predict = fixed_predict({f"s{i}": 1.0 for i in range(5)})
+    values = {f"s{i}": 1.0 for i in range(5)}
     p1 = RandomPolicy(np.random.default_rng(3))
     p2 = RandomPolicy(np.random.default_rng(3))
-    r1 = [e.server_id for e in p1.rank(table.entries(), predict)]
-    r2 = [e.server_id for e in p2.rank(table.entries(), predict)]
+    r1 = ranked_ids(p1, table, values)
+    r2 = ranked_ids(p2, table, values)
     assert r1 == r2
     assert sorted(r1) == [f"s{i}" for i in range(5)]
+    # a top-k cut is the head of the same full shuffle: the rng draws
+    # depend only on the candidate count
+    p3 = RandomPolicy(np.random.default_rng(3))
+    assert ranked_ids(p3, table, values, k=2) == r1[:2]
 
 
 def test_random_policy_actually_shuffles():
     table = table_with(6)
-    predict = fixed_predict({f"s{i}": 1.0 for i in range(6)})
+    values = {f"s{i}": 1.0 for i in range(6)}
     policy = RandomPolicy(np.random.default_rng(0))
     orders = {
-        tuple(e.server_id for e in policy.rank(table.entries(), predict))
-        for _ in range(20)
+        tuple(ranked_ids(policy, table, values)) for _ in range(20)
     }
     assert len(orders) > 1
 
 
 def test_roundrobin_rotates():
     table = table_with(3)
-    predict = fixed_predict({"s0": 1.0, "s1": 1.0, "s2": 1.0})
+    values = {"s0": 1.0, "s1": 1.0, "s2": 1.0}
     policy = RoundRobinPolicy()
-    firsts = [
-        policy.rank(table.entries(), predict)[0].server_id for _ in range(4)
-    ]
+    firsts = [ranked_ids(policy, table, values, k=1)[0] for _ in range(4)]
     assert firsts == ["s0", "s1", "s2", "s0"]
 
 
 def test_roundrobin_empty():
-    assert RoundRobinPolicy().rank([], lambda e: None) == []
+    assert RoundRobinPolicy().rank([], [], 3) == []
 
 
 def test_fastest_peak_ignores_prediction():
     table = table_with(3)
-    predict = fixed_predict({"s0": 0.0, "s1": 100.0, "s2": 50.0})
-    ranked = FastestPeakPolicy().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s2", "s1", "s0"]
+    values = {"s0": 0.0, "s1": 100.0, "s2": 50.0}
+    ranked = ranked_ids(FastestPeakPolicy(), table, values)
+    assert ranked == ["s2", "s1", "s0"]
 
 
 def test_make_policy():

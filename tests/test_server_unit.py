@@ -8,9 +8,9 @@ from repro.core.server import ComputationalServer
 from repro.errors import NetSolveError
 from repro.problems.builtin import builtin_registry
 from repro.protocol.messages import (
+    DataHandle,
     DeleteObject,
     Message,
-    ObjectRef,
     Ping,
     Pong,
     RegisterAck,
@@ -253,7 +253,7 @@ def test_solve_with_ref_resolves_from_cache():
     kernel.run(until=1.0)
     msg = SolveRequest(
         request_id=4, problem="blas/ddot",
-        inputs=(ObjectRef("x"), x), reply_to="client-probe",
+        inputs=(DataHandle("x"), x), reply_to="client-probe",
     )
     transport.node("client-probe").send("server/sv", msg)
     kernel.run(until=5.0)
@@ -268,7 +268,7 @@ def test_solve_with_unknown_ref_fails_cleanly():
     )
     msg = SolveRequest(
         request_id=5, problem="blas/ddot",
-        inputs=(ObjectRef("ghost"), np.ones(3)), reply_to="client-probe",
+        inputs=(DataHandle("ghost"), np.ones(3)), reply_to="client-probe",
     )
     transport.node("client-probe").send("server/sv", msg)
     kernel.run(until=5.0)

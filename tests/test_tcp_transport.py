@@ -221,8 +221,9 @@ def test_forged_envelope_length_dropped_without_allocation():
 
 
 def test_object_store_and_sequencing_over_tcp(deployment):
-    """The request-sequencing path (store + ObjectRef) over real sockets."""
-    from repro.protocol.messages import ObjectRef
+    """The request-sequencing path (store + key-only handle) over real
+    sockets."""
+    from repro.protocol.messages import DataHandle
 
     _t, agent, _s, session = deployment
     assert wait_for(lambda: agent.registrations >= 2)
@@ -231,14 +232,14 @@ def test_object_store_and_sequencing_over_tcp(deployment):
 
     a = RNG.standard_normal((40, 40)) + 40 * np.eye(40)
     with node.lock:
-        store_promise = client.store("server/s1", "seq/A", a)
-    nbytes = store_promise.wait(WAIT)
+        store_promise = client.store_handle("server/s1", "seq/A", a)
+    nbytes = store_promise.wait(WAIT).nbytes
     assert nbytes > 40 * 40 * 8
 
     x = RNG.standard_normal(40)
     with node.lock:
         handle = client.submit_pinned(
-            "blas/dgemv", [ObjectRef("seq/A"), x], "server/s1",
+            "blas/dgemv", [DataHandle("seq/A"), x], "server/s1",
             server_id="s1",
         )
     (y,) = handle.promise.wait(WAIT)
